@@ -37,6 +37,9 @@ object Lineage {
     case (x: java.sql.Date, y: java.sql.Date) => x.compareTo(y)
     case (x: java.sql.Date, y: String)        => x.toString.compareTo(y)
     case (x: String, y: java.sql.Date)        => x.compareTo(y.toString)
+    // exact for integers: as doubles, longs above 2^53 collapse
+    case _ if isIntegral(a) && isIntegral(b) =>
+      java.lang.Long.compare(a.asInstanceOf[Number].longValue, b.asInstanceOf[Number].longValue)
     case _                                    => java.lang.Double.compare(num(a), num(b))
   }
 

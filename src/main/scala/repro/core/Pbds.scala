@@ -114,11 +114,9 @@ final class PbdsManager(
 
     hit match {
       case Some((oldB, sketches)) =>
-        if (!Use.revalidateTopK(q, sketches, catalog))
+        val sketchCatalog = store.sketchCatalog(spark, sketches)
+        if (!Use.revalidateTopK(q, sketchCatalog))
           return (plain, Decision(Fallback, Some(oldB)))
-        val sketchCatalog = catalog.map { case (t, df) =>
-          t -> sketches.get(t).map(s => store.scanWithSketch(spark, t, s)).getOrElse(df)
-        }
         (ToSpark.compile(q, sketchCatalog), Decision(SketchUse, Some(oldB)))
       case None =>
         val shouldCapture = strategy match {

@@ -1,7 +1,9 @@
 package repro.core
 
+import scala.reflect.runtime.universe.TypeTag
+
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions.{col, lit, when}
+import org.apache.spark.sql.functions.{col, lit, udf, when}
 import repro.algebra._
 import repro.algebra.Lineage.compareAny
 import repro.stats.EquiDepth
@@ -40,15 +42,25 @@ final case class RangePartition(table: String, attr: String, attrType: SqlType,
     */
   def caseColumn(c: Column): Column = {
     if (bounds.isEmpty) return lit(0)
-    var w = when(c <= litOf(bounds(0)), lit(0))
+    var w = when(c <= ToSpark.expr(Lit(bounds(0))), lit(0))
     var i = 1
-    while (i < bounds.size) { w = w.when(c <= litOf(bounds(i)), lit(i)); i += 1 }
+    while (i < bounds.size) { w = w.when(c <= ToSpark.expr(Lit(bounds(i))), lit(i)); i += 1 }
     w.otherwise(lit(bounds.size))
   }
 
-  private def litOf(v: Any): Column = v match {
-    case d: java.sql.Date => lit(d.toString).cast("date")
-    case x                => lit(x)
+  /** `f(fragmentOf(attr))` as a UDF column: the one binary-search fragment
+    * lookup behind capture INIT (`f = identity`), SNG (the singleton bitset)
+    * and the membership decode (`f = bits.get`).
+    */
+  def lookup[R: TypeTag](f: Int => R): Column = {
+    val u = attrType match {
+      case TLong   => udf((v: Long) => f(fragmentOf(v)))
+      case TInt    => udf((v: Int) => f(fragmentOf(v)))
+      case TDouble => udf((v: Double) => f(fragmentOf(v)))
+      case TString => udf((v: String) => f(fragmentOf(v)))
+      case TDate   => udf((v: java.sql.Date) => f(fragmentOf(v)))
+    }
+    u(col(attr))
   }
 
   /** Merge an ascending fragment set into maximal adjacent runs, returned as
@@ -83,21 +95,6 @@ final case class RangePartition(table: String, attr: String, attrType: SqlType,
       }
     })(POr(_, _))
   }
-
-  /** DataFrame filter for the given fragments (OR-of-ranges decode). */
-  def toColumn(frags: Seq[Int]): Column = {
-    if (frags.isEmpty) return lit(false)
-    if (frags.size == nFragments) return lit(true)
-    val a = col(attr)
-    RangePartition.balanced(mergedRanges(frags).map { case (lo, hi) =>
-      (lo, hi) match {
-        case (None, Some(h))    => a <= litOf(h)
-        case (Some(l), Some(h)) => (a > litOf(l)) && (a <= litOf(h))
-        case (Some(l), None)    => a > litOf(l)
-        case (None, None)       => lit(true)
-      }
-    })(_ || _)
-  }
 }
 
 object RangePartition {
@@ -119,7 +116,7 @@ object RangePartition {
 }
 
 /** A captured provenance sketch: the partition plus the fragment bitvector.
-  * `Q[P]` instrumentation and the Catalyst rule decode it via `partition`.
+  * Every use decodes it once, through `toPred`.
   */
 final case class CapturedSketch(partition: RangePartition, bits: BitSketch) {
   require(bits.nFragments == partition.nFragments, "sketch/partition mismatch")
@@ -127,7 +124,6 @@ final case class CapturedSketch(partition: RangePartition, bits: BitSketch) {
   def fragments: Seq[Int] = bits.fragments
   def selectivity: Double = bits.selectivity
   def toPred: Pred = partition.toPred(fragments)
-  def toColumn: Column = partition.toColumn(fragments)
   /** Superset union (Lemma 5: adding fragments keeps a sketch safe). */
   def union(o: CapturedSketch): CapturedSketch = {
     require(o.partition == partition, "sketches over different partitions")

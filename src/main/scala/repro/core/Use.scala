@@ -1,17 +1,14 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions.udf
 import repro.algebra._
 
 /** Using provenance sketches (paper Sec. 8).
   *
   * `Q[P]` is the identity on every operator except table accesses, which are
-  * wrapped in a selection decoding the sketch (Eq. 2). Two decodings are
-  * provided, matching the paper's optimizations (Sec. 8.1): the OR of merged
-  * adjacent ranges (exploitable by zone maps / Parquet pushdown) and an
-  * O(log n) binary-search membership UDF (faster for sketches with very many
-  * selected fragments on systems without skipping, Fig. 11c/f).
+  * wrapped in a selection decoding the sketch (Eq. 2). On Spark, sketches are
+  * applied at the scan (`TableStore.scanWithSketch`), which filters with
+  * `residual`.
   */
 object Use {
 
@@ -25,45 +22,30 @@ object Use {
     }
 
   /** Membership test via binary search over the partition's ranges. */
-  def membershipColumn(s: CapturedSketch): Column = {
-    val p = s.partition
-    val bits = s.bits
-    def test(i: Int): Boolean = bits.get(i)
-    val f = p.attrType match {
-      case TLong   => udf((v: Long) => test(p.fragmentOf(v)))
-      case TInt    => udf((v: Int) => test(p.fragmentOf(v)))
-      case TDouble => udf((v: Double) => test(p.fragmentOf(v)))
-      case TString => udf((v: String) => test(p.fragmentOf(v)))
-      case TDate   => udf((v: java.sql.Date) => test(p.fragmentOf(v)))
-    }
-    f(org.apache.spark.sql.functions.col(p.attr))
-  }
+  def membershipColumn(s: CapturedSketch): Column = s.partition.lookup(s.bits.get)
 
-  /** Catalog with sketched tables pre-filtered at the DataFrame level. */
-  def filteredCatalog(catalog: Map[String, DataFrame],
-                      sketches: Map[String, CapturedSketch],
-                      binarySearch: Boolean = false): Map[String, DataFrame] =
-    catalog.map { case (name, df) =>
-      name -> (sketches.get(name) match {
-        case Some(s) if binarySearch => df.filter(membershipColumn(s))
-        case Some(s)                 => df.filter(s.toColumn)
-        case None                    => df
-      })
-    }
+  /** Row filter for a sketch-restricted scan, following Sec. 8.1: the OR of
+    * merged ranges for up to 512 ranges (Parquet pushes it down → row-group
+    * skipping), the O(log n) binary-search membership UDF above that —
+    * evaluating thousands of disjunctions per tuple would otherwise
+    * dominate, exactly the pathology the paper optimizes.
+    */
+  def residual(s: CapturedSketch): Column =
+    if (s.partition.mergedRanges(s.fragments).size <= 512) ToSpark.pred(s.toPred)
+    else membershipColumn(s)
 
   /** Runtime re-validation for τ_{O,C} (paper footnote 1): under the sketch,
     * every top-k input must still hold at least C tuples, otherwise the
     * sketch-restricted answer may be short and the caller must fall back.
+    * `sketchCatalog` holds the sketch-restricted scans of the sketched tables.
     */
-  def revalidateTopK(q: Op, sketches: Map[String, CapturedSketch],
-                     catalog: Map[String, DataFrame]): Boolean = {
+  def revalidateTopK(q: Op, sketchCatalog: Map[String, DataFrame]): Boolean = {
     def topKs(op: Op): Seq[TopK] = (op match {
       case t: TopK => Seq(t)
       case _       => Seq.empty
     }) ++ op.children.flatMap(topKs)
     topKs(q).forall { tk =>
-      val input = instrument(tk.child, sketches)
-      ToSpark.compile(input, catalog).limit(tk.k).count() >= tk.k
+      ToSpark.compile(tk.child, sketchCatalog).limit(tk.k).count() >= tk.k
     }
   }
 }

@@ -15,19 +15,20 @@ trait TableStore {
   /** Catalog view for the IR compilers. */
   def catalog(spark: SparkSession): Map[String, DataFrame] =
     tableNames.map(t => t -> scan(spark, t)).toMap
+  /** Catalog view with every sketched table restricted by its sketch. */
+  def sketchCatalog(spark: SparkSession, sketches: Map[String, CapturedSketch]): Map[String, DataFrame] =
+    catalog(spark).map { case (t, df) => t -> sketches.get(t).fold(df)(scanWithSketch(spark, t, _)) }
 }
 
 /** Main-memory store: cached DataFrames; a sketch becomes a plain filter
-  * (optionally the binary-search membership UDF) — no skipping, like MonetDB
-  * without indexes (paper Sec. 9.3 "MonetDB" experiments).
+  * (`Use.residual`) — no skipping, like MonetDB without indexes (paper
+  * Sec. 9.3 "MonetDB" experiments).
   */
-final class MemTableStore(tables: Map[String, DataFrame],
-                          binarySearch: Boolean = false) extends TableStore {
+final class MemTableStore(tables: Map[String, DataFrame]) extends TableStore {
   def tableNames: Seq[String] = tables.keys.toSeq
   def scan(spark: SparkSession, table: String): DataFrame = tables(table)
   def scanWithSketch(spark: SparkSession, table: String, sketch: CapturedSketch): DataFrame =
-    if (binarySearch) tables(table).filter(Use.membershipColumn(sketch))
-    else tables(table).filter(sketch.toColumn)
+    tables(table).filter(Use.residual(sketch))
 }
 
 /** Disk store over zone-mapped Parquet: sketches prune whole files before
@@ -42,7 +43,6 @@ final class ZoneMapTableStore(stores: Map[String, ZoneMapStore],
   def scanWithSketch(spark: SparkSession, table: String, sketch: CapturedSketch): DataFrame =
     stores.get(table) match {
       case Some(s) if s.attr == sketch.partition.attr => s.prunedScan(spark, sketch)._1
-      case Some(s) => s.scanAll(spark).filter(sketch.toColumn)
-      case None    => extra(table).filter(sketch.toColumn)
+      case _ => scan(spark, table).filter(Use.residual(sketch))
     }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{Fixtures, SparkSpec}
 import repro.algebra._
+import repro.storage.MemTableStore
 import Fixtures._
 import Capture._
 
@@ -124,6 +125,7 @@ class UseSpec extends SparkSpec {
 
   private lazy val citiesDf = sparkDf(spark, citiesSchema, citiesRows)
   private lazy val catalog  = Map("cities" -> citiesDf)
+  private lazy val store    = new MemTableStore(catalog)
   private lazy val db       = citiesDb
 
   private val fState  = RangePartition("cities", "state", TString, stateBounds.toIndexedSeq)
@@ -152,24 +154,22 @@ class UseSpec extends SparkSpec {
     assert(r.head("state") == "NY") // wrong answer, as in the paper
     assert(!Lineage.sameResult(r, Lineage.result(q2, db)))
   }
-  test("filteredCatalog OR-decode and binary-search membership agree") {
-    val sketches = Capture.capture(q2, Seq(fState), catalog)
-    val a = Use.filteredCatalog(catalog, sketches, binarySearch = false)("cities")
-      .collect().map(_.toString).sorted.toSeq
-    val b = Use.filteredCatalog(catalog, sketches, binarySearch = true)("cities")
-      .collect().map(_.toString).sorted.toSeq
+  test("OR-decode and binary-search membership agree") {
+    val s = Capture.capture(q2, Seq(fState), catalog)("cities")
+    val a = citiesDf.filter(ToSpark.pred(s.toPred)).collect().map(_.toString).sorted.toSeq
+    val b = citiesDf.filter(Use.membershipColumn(s)).collect().map(_.toString).sorted.toSeq
     assert(a == b && a.size == 3) // the three f1 rows
   }
   test("revalidateTopK accepts a sufficient sketch") {
     val sketches = Capture.capture(q2, Seq(fState), catalog)
-    assert(Use.revalidateTopK(q2, sketches, catalog))
+    assert(Use.revalidateTopK(q2, store.sketchCatalog(spark, sketches)))
   }
   test("revalidateTopK flags an insufficient sketch") {
     // top-5 groups but the sketch covers only fragment f1 (2 groups: AK, CA)
     val q = TopK(Seq(("avgden", false)), 5,
       Aggregate(Seq("state"), Seq(Agg(FAvg, Col("popden"), "avgden")), cities))
     val tiny = Map("cities" -> CapturedSketch(fState, BitSketch.fromFragments(4, Seq(0))))
-    assert(!Use.revalidateTopK(q, tiny, catalog))
+    assert(!Use.revalidateTopK(q, store.sketchCatalog(spark, tiny)))
   }
   test("sketch of all fragments decodes to PTrue (no-op filter)") {
     val s = CapturedSketch(fState, BitSketch.full(4))

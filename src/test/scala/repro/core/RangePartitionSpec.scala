@@ -57,6 +57,12 @@ class RangePartitionSpec extends AnyFunSuite {
       assert(rows.toSet == expected.toSet, s"frags=$frags")
     }
   }
+  test("fragmentOf is exact for longs above 2^53") {
+    val p = RangePartition("t", "a", TLong, Vector(1L << 53))
+    assert(p.fragmentOf((1L << 53) + 1) == 1)
+    assert(p.fragmentOf(1L << 53) == 0)
+    assert(Lineage.compareAny((1L << 53) + 1, 1L << 53) > 0)
+  }
   test("toPred of empty sketch selects nothing; full selects all") {
     val p = RangePartition("t", "a", TLong, Vector(10L))
     val db: Lineage.Db = Map("t" -> Seq(Map[String, Any]("a" -> 5L), Map[String, Any]("a" -> 15L)))
@@ -71,7 +77,7 @@ class RangePartitionSparkSpec extends SparkSpec {
     val df = Fixtures.sparkDf(spark, Fixtures.citiesSchema, Fixtures.citiesRows)
     val p = RangePartition("cities", "state", TString, Fixtures.stateBounds.toIndexedSeq)
     for (frags <- Seq(Seq(0), Seq(2, 3), Seq(0, 2))) {
-      val got = df.filter(p.toColumn(frags)).select("state").collect().map(_.getString(0)).toSet
+      val got = df.filter(ToSpark.pred(p.toPred(frags))).select("state").collect().map(_.getString(0)).toSet
       val exp = Fixtures.citiesRows.map(_(2).asInstanceOf[String])
         .filter(s => frags.contains(p.fragmentOf(s))).toSet
       assert(got == exp, s"frags=$frags")
@@ -82,7 +88,7 @@ class RangePartitionSparkSpec extends SparkSpec {
     val p = RangePartition.equiDepth(df, "t", "k", TLong, 16)
     assert(p.nFragments >= 12 && p.nFragments <= 16)
     val counts = (0 until p.nFragments).map { f =>
-      df.filter(p.toColumn(Seq(f))).count()
+      df.filter(ToSpark.pred(p.toPred(Seq(f)))).count()
     }
     val avg = counts.sum.toDouble / counts.size
     assert(counts.forall(c => c > avg * 0.5 && c < avg * 2.0), s"counts=$counts")
@@ -92,7 +98,7 @@ class RangePartitionSparkSpec extends SparkSpec {
     val df = Fixtures.sparkDf(spark, Fixtures.citiesSchema, Fixtures.citiesRows)
     val p = RangePartition.equiDepth(df, "cities", "state", TString, 3)
     assert(p.nFragments >= 2 && p.nFragments <= 3)
-    val total = (0 until p.nFragments).map(f => df.filter(p.toColumn(Seq(f))).count()).sum
+    val total = (0 until p.nFragments).map(f => df.filter(ToSpark.pred(p.toPred(Seq(f)))).count()).sum
     assert(total == 7)
   }
   test("equiDepth with duplicates dedupes boundaries") {

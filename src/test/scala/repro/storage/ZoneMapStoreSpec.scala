@@ -50,7 +50,7 @@ class ZoneMapStoreSpec extends SparkSpec {
     val sk = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, Seq(0, 1)))
     val (pruned, filesRead) = s.prunedScan(spark, sk)
     assert(filesRead < s.nFiles, s"expected pruning: read $filesRead of ${s.nFiles}")
-    val expected = s.scanAll(spark).filter(sk.toColumn).count()
+    val expected = s.scanAll(spark).filter(ToSpark.pred(sk.toPred)).count()
     assert(pruned.count() == expected)
   }
 
@@ -68,13 +68,24 @@ class ZoneMapStoreSpec extends SparkSpec {
     val p = RangePartition("cities", "popden", TLong, Fixtures.popdenBounds.toIndexedSeq)
     val sk = CapturedSketch(p, BitSketch.fromFragments(2, Seq(1)))
     val mem  = new MemTableStore(Map("cities" -> df))
-    val mem2 = new MemTableStore(Map("cities" -> df), binarySearch = true)
     val disk = new ZoneMapTableStore(Map("cities" -> zms))
-    val expected = df.filter(sk.toColumn).collect().map(_.getLong(0)).sorted.toSeq
-    for (st <- Seq[TableStore](mem, mem2, disk)) {
+    val expected = df.filter(ToSpark.pred(sk.toPred)).collect().map(_.getLong(0)).sorted.toSeq
+    for (st <- Seq[TableStore](mem, disk)) {
       val got = st.scanWithSketch(spark, "cities", sk)
         .select("popden").collect().map(_.getLong(0)).sorted.toSeq
       assert(got == expected, s"store=${st.getClass.getSimpleName}")
     }
+  }
+
+  test("equal bits over different bounds are different pruned scans") {
+    val df = Fixtures.sparkDf(spark, Fixtures.citiesSchema, Fixtures.citiesRows)
+    val s = ZoneMapStore.write(df, tmp(), "popden", 3)
+    def popdens(bound: Long): Set[Long] = {
+      val p = RangePartition("cities", "popden", TLong, Vector(bound))
+      s.prunedScan(spark, CapturedSketch(p, BitSketch.fromFragments(2, Seq(1))))._1
+        .select("popden").collect().map(_.getLong(0)).toSet
+    }
+    assert(popdens(4000L) == Set(4200L, 6000L, 5000L, 7000L))
+    assert(popdens(3000L) == Set(4200L, 6000L, 5000L, 7000L, 3700L))
   }
 }
