@@ -19,8 +19,7 @@ object CaptureOptExperiments {
   def run(spark: SparkSession, crimesSf: Double, ratingsSf: Double,
           fragCounts: Seq[Int], reps: Int = 3): (Seq[(Int, Double, Double)], Seq[(Int, Double, Double, Double)]) = {
     // --- T6: singleton creation over crimes ------------------------------
-    val crimes = Crimes.catalog(spark, crimesSf)("crimes").cache()
-    crimes.count()
+    val crimes = cached(Crimes.catalog(spark, crimesSf))("crimes")
     header("T6", "Singleton creation: CASE chain vs binary search (s), cf. Fig. 12a",
       "nFrags", "caseSec", "binSearchSec", "caseOverBs")
     val t6 = for (nf <- fragCounts) yield {
@@ -35,8 +34,7 @@ object CaptureOptExperiments {
     }
 
     // --- T7: merging all singleton sketches over ratings -----------------
-    val cat = Map("ratings" -> Movies.catalog(spark, ratingsSf)("ratings").cache())
-    cat("ratings").count()
+    val cat = cached(Map("ratings" -> Movies.catalog(spark, ratingsSf)("ratings")))
     val q = Aggregate(Seq.empty, Seq(Agg(FCount, Col("r_userid"), "c")), Movies.ratings)
     header("T7", "Sketch merge: naive vs delay vs no-copy (s), cf. Fig. 12b",
       "nFrags", "naiveSec", "delaySec", "noCopySec")

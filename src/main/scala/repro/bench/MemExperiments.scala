@@ -1,8 +1,6 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
-import repro.algebra._
-import repro.core._
 import repro.storage.MemTableStore
 import repro.workloads.TpchLite
 import BenchUtil._
@@ -17,24 +15,15 @@ object MemExperiments {
 
   def run(spark: SparkSession, sf: Double, fragCounts: Seq[Int], reps: Int = 3): Unit = {
     spark.conf.set("spark.sql.shuffle.partitions", "16")
-    val mem = TpchLite.catalog(spark, sf).map { case (k, v) => k -> v.cache() }
-    mem.values.foreach(_.count())
+    val mem = cached(TpchLite.catalog(spark, sf))
     val store = new MemTableStore(mem)
     header("T5", "Main-memory (MonetDB analog): runtime and capture overhead, cf. Fig. 11f-i",
       "query", "variant", "seconds", "speedup", "captureSec", "captureOverheadPct")
     for (w <- TpchLite.queries if w.name != "Q1") {
-      val types = Algebra.baseTypes(w.q)
-      val noPs = timed(reps = reps)(BenchUtil.run(ToSpark.compile(w.q, mem)))
+      val (noPs, options) = costs(spark, store, mem, w.name, w.q, w.sketchAttrs, fragCounts, reps)
       row("T5", w.name, "No-PS", noPs, 1.0, 0.0, 0.0)
-      for (nf <- fragCounts) {
-        val parts = w.sketchAttrs.map { case (t, a) =>
-          RangePartition.equiDepth(mem(t), t, a, types(a), nf)
-        }.toSeq
-        val (sketches, capSec) = time(Capture.capture(w.q, parts, mem))
-        val useSec = timed(reps = reps)(BenchUtil.run(
-          ToSpark.compile(w.q, store.sketchCatalog(spark, sketches))))
-        row("T5", w.name, s"PS$nf", useSec, noPs / useSec, capSec, (capSec / noPs - 1) * 100)
-      }
+      for (o <- options)
+        row("T5", w.name, s"PS${o.nFrags}", o.use, noPs / o.use, o.cap, (o.cap / noPs - 1) * 100)
     }
   }
 }

@@ -5,7 +5,7 @@ import java.nio.file.Files
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.algebra._
 import repro.core._
-import repro.storage.ZoneMapStore
+import repro.storage.{ZoneMapStore, ZoneMapTableStore}
 import repro.workloads.{Crimes, Movies, StackOverflowW}
 import BenchUtil._
 
@@ -22,30 +22,20 @@ object RealWorldExperiments {
   private def runCases(spark: SparkSession, table: String, cases: Seq[Case],
                        memCat: Map[String, DataFrame], reps: Int): Seq[(String, Double, Double)] = {
     val baseDir = Files.createTempDirectory(s"rw-$table").toString
-    val stores = scala.collection.mutable.Map.empty[(String, String), ZoneMapStore]
-    def storeFor(t: String, a: String): ZoneMapStore =
-      stores.getOrElseUpdate((t, a),
+    val zoneMaps = scala.collection.mutable.Map.empty[(String, String), ZoneMapStore]
+    def zoneMap(t: String, a: String): ZoneMapStore =
+      zoneMaps.getOrElseUpdate((t, a),
         ZoneMapStore.write(memCat(t), s"$baseDir/${t}_$a", a, 32))
 
     for (c <- cases) yield {
       require(SafetyChecker.isSafe(c.q, c.sketchAttrs.values.toSet),
         s"${c.name}: sketch attrs must be safe")
-      val types = Algebra.baseTypes(c.q)
-      val diskCat = Algebra.tables(c.q).map { t =>
-        t.name -> storeFor(t.name, c.sketchAttrs.getOrElse(t.name, t.schema.head._1)).scanAll(spark)
-      }.toMap
-      val noPs = timed(reps = reps)(BenchUtil.run(ToSpark.compile(c.q, diskCat)))
-      val parts = c.sketchAttrs.map { case (t, a) =>
-        RangePartition.equiDepth(memCat(t), t, a, types(a), c.nFrags)
-      }.toSeq
-      val (sketches, capSec) = time(Capture.capture(c.q, parts, diskCat))
-      val useCat = diskCat.map { case (t, df) =>
-        t -> sketches.get(t).map(sk =>
-          storeFor(t, sk.partition.attr).prunedScan(spark, sk)._1).getOrElse(df)
-      }
-      val useSec = timed(reps = reps)(BenchUtil.run(ToSpark.compile(c.q, useCat)))
-      row(table, c.name, noPs, useSec, (1 - useSec / noPs) * 100, capSec, capSec / noPs - 1)
-      (c.name, noPs, useSec)
+      val store = new ZoneMapTableStore(Algebra.tables(c.q).map { t =>
+        t.name -> zoneMap(t.name, c.sketchAttrs.getOrElse(t.name, t.schema.head._1))
+      }.toMap)
+      val (noPs, Seq(ps)) = costs(spark, store, memCat, c.name, c.q, c.sketchAttrs, Seq(c.nFrags), reps)
+      row(table, c.name, noPs, ps.use, (1 - ps.use / noPs) * 100, ps.cap, ps.cap / noPs - 1)
+      (c.name, noPs, ps.use)
     }
   }
 
@@ -55,8 +45,7 @@ object RealWorldExperiments {
     spark.conf.set("spark.sql.shuffle.partitions", "16")
     header("T9", "Crimes: PBDS improvement and capture overhead, cf. Fig. 10a/10b",
       "query", "noPsSec", "psSec", "improvementPct", "captureSec", "captureOverheadFactor")
-    val crimesCat = Crimes.catalog(spark, crimesSf).map { case (k, v) => k -> v.cache() }
-    crimesCat.values.foreach(_.count())
+    val crimesCat = cached(Crimes.catalog(spark, crimesSf))
     val r1 = runCases(spark, "T9", Seq(
       Case("C-Q1", Crimes.cq1, Map("crimes" -> "area"), 77),
       Case("C-Q2", Crimes.cq2(thresholdAtRank(crimesCat("crimes"), "block", 15)),
@@ -65,8 +54,7 @@ object RealWorldExperiments {
 
     header("T10", "Movies + Stack Overflow: PBDS improvement and capture overhead, cf. Fig. 10c/10d",
       "query", "noPsSec", "psSec", "improvementPct", "captureSec", "captureOverheadFactor")
-    val movieCat = Movies.catalog(spark, moviesSf).map { case (k, v) => k -> v.cache() }
-    movieCat.values.foreach(_.count())
+    val movieCat = cached(Movies.catalog(spark, moviesSf))
     val r2 = runCases(spark, "T10", Seq(
       Case("M-Q1", Movies.mq1, Map("ratings" -> "r_movieid", "movies" -> "movieid"), 1024),
       Case("M-Q2", Movies.mq2(thresholdAtRank(movieCat("ratings"), "r_movieid", 40)),
@@ -74,8 +62,7 @@ object RealWorldExperiments {
       Case("M-Q3", Movies.mq3, Map("ratings" -> "r_movieid", "tags" -> "t_movieid"), 1024),
     ), movieCat, reps)
 
-    val sofCat = StackOverflowW.catalog(spark, sofSf).map { case (k, v) => k -> v.cache() }
-    sofCat.values.foreach(_.count())
+    val sofCat = cached(StackOverflowW.catalog(spark, sofSf))
     val r3 = runCases(spark, "T10", Seq(
       Case("S-Q1", StackOverflowW.sq1, Map("users" -> "u_id", "posts" -> "p_owner"), 1024),
       Case("S-Q2", StackOverflowW.sq2, Map("users" -> "u_id", "comments" -> "cm_user"), 1024),

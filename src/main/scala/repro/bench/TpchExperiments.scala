@@ -5,7 +5,7 @@ import java.nio.file.Files
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import repro.algebra._
 import repro.core._
-import repro.storage.ZoneMapStore
+import repro.storage.{ZoneMapStore, ZoneMapTableStore}
 import repro.workloads.TpchLite
 import BenchUtil._
 
@@ -18,21 +18,18 @@ import BenchUtil._
   */
 object TpchExperiments {
 
-  final case class Measured(query: String, nFrags: Int, cap: Double, use: Double)
-
   def run(spark: SparkSession, sf: Double, fragCounts: Seq[Int],
-          zoneFiles: Int = 48, reps: Int = 3): Map[String, (Double, Seq[Measured])] = {
+          zoneFiles: Int = 48, reps: Int = 3): Map[String, (Double, Seq[PsCost])] = {
     val baseDir = Files.createTempDirectory("tpch-zms").toString
     // scan-vs-skip is the measured effect; keep shuffle latency small
     spark.conf.set("spark.sql.shuffle.partitions", "16")
-    val mem = TpchLite.catalog(spark, sf).map { case (k, v) => k -> v.cache() }
-    mem.values.foreach(_.count()) // materialize the generators once
+    val mem = cached(TpchLite.catalog(spark, sf))
 
     // Physical design: one zone-mapped clustering per (table, sketch attr),
     // like the paper's per-column indexes/zone maps.
-    val stores = scala.collection.mutable.Map.empty[(String, String), ZoneMapStore]
-    def storeFor(table: String, attr: String): ZoneMapStore =
-      stores.getOrElseUpdate((table, attr), {
+    val zoneMaps = scala.collection.mutable.Map.empty[(String, String), ZoneMapStore]
+    def zoneMap(table: String, attr: String): ZoneMapStore =
+      zoneMaps.getOrElseUpdate((table, attr), {
         val nf = if (table == "lineitem") zoneFiles else math.max(8, zoneFiles / 4)
         ZoneMapStore.write(mem(table), s"$baseDir/${table}_$attr", attr, nf)
       })
@@ -46,71 +43,47 @@ object TpchExperiments {
     header("T8", "Optimal option per repetition interval, cf. Fig. 14",
       "query", "option", "fromRuns", "toRuns")
 
-    val results = scala.collection.mutable.Map.empty[String, (Double, Seq[Measured])]
+    TpchLite.queries.map { w =>
+      // every accessed table scanned from its clustered copy; Q17's second
+      // lineitem access reads the same copy under lineitem2's names
+      val (aliased, refs) = Algebra.tables(w.q).partition(_ == TpchLite.lineitem2)
+      val zoned = refs.map(t =>
+        t.name -> zoneMap(t.name, w.sketchAttrs.getOrElse(t.name, t.schema.head._1))).toMap
+      val extra = aliased.map(t => t.name -> zoned("lineitem").scanAll(spark)
+        .selectExpr("l_partkey as l2_partkey", "l_quantity as l2_quantity")).toMap
+      val store = new ZoneMapTableStore(zoned, extra)
 
-    for (w <- TpchLite.queries) {
-      val types = Algebra.baseTypes(w.q)
-      // disk catalog: every accessed table scanned from its clustered copy
-      val diskCatalog: Map[String, DataFrame] = Algebra.tables(w.q).map { t =>
-        val name = t.name
-        if (name == "lineitem2")
-          name -> storeFor("lineitem", w.sketchAttrs.getOrElse("lineitem", "l_orderkey"))
-            .scanAll(spark).selectExpr("l_partkey as l2_partkey", "l_quantity as l2_quantity")
-        else
-          name -> storeFor(name, w.sketchAttrs.getOrElse(name, t.schema.head._1)).scanAll(spark)
-      }.toMap
+      require(SafetyChecker.isSafe(w.q, w.sketchAttrs.values.toSet, TpchLite.stats(sf)),
+        s"${w.name}: declared sketch attrs must be safe")
+      val (noPs, options) = costs(spark, store, mem, w.name, w.q, w.sketchAttrs, fragCounts, reps)
 
-      val noPs = timed(reps = reps)(BenchUtil.run(ToSpark.compile(w.q, diskCatalog)))
       row("T2", w.name, "No-PS", noPs, 1.0)
-
-      val safe = SafetyChecker.isSafe(w.q, w.sketchAttrs.values.toSet, TpchLite.stats(sf))
-      require(safe, s"${w.name}: declared sketch attrs must be safe")
-
-      val measured = fragCounts.map { nf =>
-        val parts = w.sketchAttrs.map { case (t, a) =>
-          RangePartition.equiDepth(mem(t), t, a, types(a), nf)
-        }.toSeq
-        val (sketches, capSec) = time(Capture.capture(w.q, parts, diskCatalog))
-        sketches.foreach { case (t, sk) =>
-          row("T1", w.name, t, sk.partition.attr, nf, sk.selectivity)
+      for (o <- options) {
+        o.sketches.foreach { case (t, sk) =>
+          row("T1", w.name, t, sk.partition.attr, o.nFrags, sk.selectivity)
         }
-        row("T3", w.name, nf, capSec, noPs, (capSec / noPs - 1) * 100)
-
-        // sketch use: prune files via zone maps, residual filter inside
-        val useCatalog = diskCatalog.map { case (t, df) =>
-          t -> sketches.get(t).map(sk =>
-            storeFor(t, sk.partition.attr).prunedScan(spark, sk)._1).getOrElse(df)
-        }
-        val useSec = timed(reps = reps)(BenchUtil.run(ToSpark.compile(w.q, useCatalog)))
-        row("T2", w.name, s"PS$nf", useSec, noPs / useSec)
-        Measured(w.name, nf, capSec, useSec)
+        row("T3", w.name, o.nFrags, o.cap, noPs, (o.cap / noPs - 1) * 100)
+        row("T2", w.name, s"PS${o.nFrags}", o.use, noPs / o.use)
       }
-
-      val opts = measured.map(m => (s"PS${m.nFrags}", m.cap, m.use))
+      val opts = options.map(o => (s"PS${o.nFrags}", o.cap, o.use))
       for ((name, from, to) <- optimalIntervals(noPs, opts))
         row("T8", w.name, name, from, to.map(_.toString).getOrElse("inf"))
 
-      results(w.name) = (noPs, measured)
-    }
-    results.toMap
+      w.name -> (noPs, options)
+    }.toMap
   }
 
   /** T4: decode strategy comparison on the in-memory store for the most
     * selective queries (cf. Fig. 11c OR vs binary search).
     */
   def decodeComparison(spark: SparkSession, sf: Double, nFrags: Int, reps: Int = 3): Unit = {
-    val mem = TpchLite.catalog(spark, sf).map { case (k, v) => k -> v.cache() }
-    mem.values.foreach(_.count())
+    val mem = cached(TpchLite.catalog(spark, sf))
     header("T4", s"Sketch decode: OR-of-ranges vs binary-search UDF (s), PS$nFrags, cf. Fig. 11c",
       "query", "noPsSec", "orSec", "bsSec")
     for (w <- Seq(TpchLite.queries.find(_.name == "Q3").get,
                   TpchLite.queries.find(_.name == "Q10").get,
                   TpchLite.queries.find(_.name == "Q18").get)) {
-      val types = Algebra.baseTypes(w.q)
-      val parts = w.sketchAttrs.map { case (t, a) =>
-        RangePartition.equiDepth(mem(t), t, a, types(a), nFrags)
-      }.toSeq
-      val sketches = Capture.capture(w.q, parts, mem)
+      val sketches = Capture.capture(w.q, partitions(mem, w.q, w.sketchAttrs, nFrags), mem)
       // both decodes applied directly, whatever Use.residual would pick
       def decoded(decode: CapturedSketch => Column): Map[String, DataFrame] =
         mem.map { case (t, df) => t -> sketches.get(t).fold(df)(s => df.filter(decode(s))) }

@@ -109,7 +109,7 @@ object Capture {
     val (df, states) = prop(q, parts, catalog, cfg)
     require(states.nonEmpty, "no sketched table is accessed by the query")
     // r7: final global BITOR over every annotation column.
-    val aggs = states.toSeq.map { case (t, st) => mergeAgg(parts(t), st, cfg)(col(lcol(t))).as(lcol(t)) }
+    val aggs = mergeCols(states, parts, cfg)
     val row = df.agg(aggs.head, aggs.tail: _*).head()
     states.keys.map { t =>
       val words = row.getAs[scala.collection.Seq[Long]](lcol(t)).toArray
@@ -122,6 +122,11 @@ object Capture {
     case Bitset  => F.udaf(new BitsetOrAgg(BitSketch.nWords(p.nFragments),
                       copy = cfg.merge == NaiveMerge), arrayEnc)
   }
+
+  /** One BITOR merge column per annotation, under the annotation's name. */
+  private def mergeCols(st: Map[String, LState], parts: Map[String, RangePartition],
+                        cfg: Config): Seq[Column] =
+    st.toSeq.map { case (t, s) => mergeAgg(parts(t), s, cfg)(col(lcol(t))).as(lcol(t)) }
 
   private def prop(op: Op, parts: Map[String, RangePartition],
                    catalog: Map[String, DataFrame], cfg: Config): (DataFrame, Map[String, LState]) =
@@ -154,8 +159,7 @@ object Capture {
                  (aggs.head.fn == FMin || aggs.head.fn == FMax))
           minMaxPrecise(df, g, aggs.head, st, parts, cfg)
         else {
-          val cols = aggs.map(a => sparkAgg(a)) ++
-            st.map { case (t, s) => mergeAgg(parts(t), s, cfg)(col(lcol(t))).as(lcol(t)) }
+          val cols = aggs.map(ToSpark.aggCol) ++ mergeCols(st, parts, cfg)
         val out =
           if (g.isEmpty) df.agg(cols.head, cols.tail: _*)
           else df.groupBy(g.map(col): _*).agg(cols.head, cols.tail: _*)
@@ -182,19 +186,11 @@ object Capture {
         if (st.isEmpty) (df.distinct(), st)
         else {
           val valueCols = c.columns
-          val cols = st.map { case (t, s) => mergeAgg(parts(t), s, cfg)(col(lcol(t))).as(lcol(t)) }.toSeq
+          val cols = mergeCols(st, parts, cfg)
           (df.groupBy(valueCols.map(col): _*).agg(cols.head, cols.tail: _*),
            st.map { case (t, _) => t -> (Bitset: LState) })
         }
     }
-
-  private def sparkAgg(a: Agg): Column = {
-    val in = ToSpark.expr(a.input)
-    (a.fn match {
-      case FSum => sum(in); case FCount => count(in); case FMin => min(in)
-      case FMax => max(in); case FAvg => avg(in)
-    }).as(a.alias)
-  }
 
   /** r3 for min/max: only rows achieving the group extreme contribute. */
   private def minMaxPrecise(df: DataFrame, g: Seq[String], a: Agg,
@@ -211,7 +207,7 @@ object Capture {
     val cond = (g.map(gc => aggDf(gc) === base(s"_ps_g_$gc")) :+ (base("_ps_val") === aggDf(a.alias)))
       .reduce(_ && _)
     val joined = aggDf.join(base, cond, "inner")
-    val merges = st.map { case (t, s) => mergeAgg(parts(t), s, cfg)(col(lcol(t))).as(lcol(t)) }.toSeq
+    val merges = mergeCols(st, parts, cfg)
     val out = joined.groupBy((g :+ a.alias).map(col): _*).agg(merges.head, merges.tail: _*)
     (out, st.map { case (t, _) => t -> (Bitset: LState) })
   }

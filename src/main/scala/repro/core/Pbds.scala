@@ -43,11 +43,12 @@ final class PbdsManager(
     candidates: Map[String, Seq[RangePartition]],
     stats: SafetyChecker.Stats = SafetyChecker.Stats(),
     strategy: Pbds.Strategy = Pbds.Eager,
-    selectivityThreshold: Double = 0.75,
-    selectivityEstimate: (Template, Map[String, Any]) => Double = (_, _) => 0.0,
-    captureCfg: Capture.Config = Capture.Config()) {
+    selectivityEstimate: (Template, Map[String, Any]) => Double = (_, _) => 0.0) {
 
   import Pbds._
+
+  // sketches covering a larger fraction of fragments skip too little to pay
+  private val selectivityThreshold = 0.75
 
   // Per template (Lemma 4): the chosen safe partition set, or None if no
   // candidate combination passes the safety check.
@@ -127,7 +128,7 @@ final class PbdsManager(
             n >= threshold
         }
         if (shouldCapture) {
-          val sketches = Capture.capture(q, parts.values.toSeq, catalog, captureCfg)
+          val sketches = Capture.capture(q, parts.values.toSeq, catalog)
           // Post-capture gate: a sketch covering most fragments cannot skip
           // anything — blacklist the template rather than storing it.
           if (sketches.values.forall(_.selectivity > selectivityThreshold)) {

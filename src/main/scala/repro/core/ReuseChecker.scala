@@ -100,9 +100,7 @@ object ReuseChecker {
     case (TopK(order, _, cN), TopK(_, _, cO)) =>
       val i = ge(cN, cO, qf)
       val allEqBelow = cN.columns.forall(a => i.psi.get(a).contains(REq))
-      val fwd = Solver.valid((qf.psiFormula(i.psi) &&
-        qf.predOf(cN, primed = true, ante = true) && qf.exprOf(cN, primed = true) &&
-        qf.exprOf(cO, primed = false)) ==> qf.predOf(cO, primed = false, ante = false))
+      val fwd = uconds(cN, cO, i.psi, qf)
       val bwd = Solver.valid((qf.psiFormula(i.psi) &&
         qf.predOf(cO, primed = false, ante = true) && qf.exprOf(cO, primed = false) &&
         qf.exprOf(cN, primed = true)) ==> qf.predOf(cN, primed = true, ante = false))
